@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -140,6 +141,14 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 			continue
 		}
 		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honour build constraints as the compiler would for the host, so
+		// a file gated to other GOARCHes (or to the race tag) is not
+		// type-checked alongside its counterpart.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

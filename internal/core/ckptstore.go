@@ -6,15 +6,15 @@ import (
 )
 
 // cpuCheckpointStore offloads activation checkpoints to CPU memory (paper
-// Sec. 5.1.2): tensors are serialized to byte buffers accounted against the
-// CPU tier and deserialized exactly on retrieval, so offloading never
-// changes numerics. Blob bytes and staging scratch cycle through the
-// engine's arenas, handles through a free list, and shape slices are reused
-// across occupancies of a slot, so steady-state Put is allocation-free (Get
-// still allocates the returned tensor, which the caller owns).
+// Sec. 5.1.2): each tensor's fp32 values are copied into a blob accounted
+// against the CPU tier (4 bytes per element) and copied back exactly on
+// retrieval, so offloading never changes numerics. Blobs cycle through the
+// engine's f32 arena, handles through a free list, and shape slices are
+// reused across occupancies of a slot, so steady-state Put is
+// allocation-free (Get still allocates the returned tensor, which the
+// caller owns).
 type cpuCheckpointStore struct {
 	tracker *mem.Tracker
-	bytes   *mem.Arena[byte]
 	f32     *mem.Arena[float32]
 
 	blobs []ckptBlob
@@ -24,23 +24,19 @@ type cpuCheckpointStore struct {
 }
 
 type ckptBlob struct {
-	data  []byte
+	data  []float32
 	shape []int
 	live  bool
 }
 
-func newCPUCheckpointStore(t *mem.Tracker, bytes *mem.Arena[byte], f32 *mem.Arena[float32]) *cpuCheckpointStore {
-	return &cpuCheckpointStore{tracker: t, bytes: bytes, f32: f32}
+func newCPUCheckpointStore(t *mem.Tracker, f32 *mem.Arena[float32]) *cpuCheckpointStore {
+	return &cpuCheckpointStore{tracker: t, f32: f32}
 }
 
 // Put implements module.CheckpointStore.
 func (s *cpuCheckpointStore) Put(t *tensor.Tensor) int {
-	n := t.Len()
-	b := s.bytes.Get(4 * n)
-	tmp := s.f32.Get(n)
-	t.Read(tmp)
-	tensor.F32ToBytes(b, tmp)
-	s.f32.Put(tmp)
+	blob := s.f32.Get(t.Len())
+	t.Read(blob)
 	var h int
 	if len(s.free) > 0 {
 		h = s.free[len(s.free)-1]
@@ -49,12 +45,13 @@ func (s *cpuCheckpointStore) Put(t *tensor.Tensor) int {
 		h = len(s.blobs)
 		s.blobs = append(s.blobs, ckptBlob{})
 	}
-	blob := &s.blobs[h]
-	blob.data = b
-	blob.shape = append(blob.shape[:0], t.Shape()...)
-	blob.live = true
-	s.tracker.Add(mem.CatActCkpt, int64(len(b)))
-	s.bytesOffloaded += int64(len(b))
+	b := &s.blobs[h]
+	b.data = blob
+	b.shape = append(b.shape[:0], t.Shape()...)
+	b.live = true
+	n := 4 * int64(len(blob))
+	s.tracker.Add(mem.CatActCkpt, n)
+	s.bytesOffloaded += n
 	return h
 }
 
@@ -63,16 +60,13 @@ func (s *cpuCheckpointStore) Get(h int) *tensor.Tensor {
 	if h < 0 || h >= len(s.blobs) || !s.blobs[h].live {
 		panic("core: unknown checkpoint handle")
 	}
-	blob := &s.blobs[h]
-	s.tracker.Add(mem.CatActCkpt, -int64(len(blob.data)))
-	out := tensor.New(tensor.FP32, blob.shape...)
-	tmp := s.f32.Get(out.Len())
-	tensor.F32FromBytes(tmp, blob.data)
-	out.Write(tmp)
-	s.f32.Put(tmp)
-	s.bytes.Put(blob.data)
-	blob.data = nil
-	blob.live = false
+	b := &s.blobs[h]
+	s.tracker.Add(mem.CatActCkpt, -4*int64(len(b.data)))
+	out := tensor.New(tensor.FP32, b.shape...)
+	out.Write(b.data)
+	s.f32.Put(b.data)
+	b.data = nil
+	b.live = false
 	s.free = append(s.free, h)
 	return out
 }

@@ -89,6 +89,8 @@ type InfinityEngine struct {
 	vol    *nvme.Volume
 	io     *nvme.Engine
 	pinned *mem.PinnedPool
+	// writes holds the NVMe optimizer step's write-backs still in flight.
+	writes writeRing
 
 	gpuAlloc *mem.Allocator
 	gpuT     *mem.Tracker
@@ -157,7 +159,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 		}
 	}
 	if cfg.OffloadActivations {
-		e.ckpt = newCPUCheckpointStore(e.cpuT, e.bytes, e.f32)
+		e.ckpt = newCPUCheckpointStore(e.cpuT, e.f32)
 		e.rt.SetCheckpointStore(e.ckpt)
 	}
 
@@ -207,6 +209,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 		}
 		e.cfg.PinnedBufBytes = cfg.PinnedBufBytes
 		e.pinned = mem.NewPinnedPool(cfg.PinnedBuffers, cfg.PinnedBufBytes)
+		e.writes.slots = make([]pendingWrite, cfg.PinnedBuffers)
 		e.cpuT.Add(mem.CatPinnedStage, int64(cfg.PinnedBuffers)*int64(cfg.PinnedBufBytes))
 	}
 
@@ -241,7 +244,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 					return nil, err
 				}
 				buf := make([]byte, r.Size)
-				tensor.HalfToBytes(buf, half)
+				copy(tensor.HalfView(buf), half)
 				if err := e.io.WriteRegion(buf, r).Wait(); err != nil {
 					return nil, err
 				}
@@ -262,7 +265,7 @@ func NewInfinityEngine(cfg Config, c *comm.Comm, g zero.Model) (*InfinityEngine,
 					return nil, err
 				}
 				buf := make([]byte, r.Size)
-				tensor.F32ToBytes(buf[:4*s], fs) // master = fp16 init values
+				copy(tensor.F32View(buf[:4*s]), fs) // master = fp16 init values
 				// momentum and variance start at zero (already zero in buf).
 				if err := e.io.WriteRegion(buf, r).Wait(); err != nil {
 					return nil, err
@@ -385,7 +388,7 @@ func (e *InfinityEngine) shardHalf(ps *pstate) []tensor.Half {
 		if err := f.ticket.Wait(); err != nil {
 			panic(fmt.Errorf("core: prefetched read %s: %w", ps.p.Name, err))
 		}
-		tensor.HalfFromBytes(half, f.buf[:ps.region.Size])
+		copy(half, tensor.HalfView(f.buf[:ps.region.Size]))
 		e.pinned.Release(f.buf[:e.cfg.PinnedBufBytes])
 		ps.inflight = nil
 		if e.prefetch != nil {
@@ -398,7 +401,7 @@ func (e *InfinityEngine) shardHalf(ps *pstate) []tensor.Half {
 	if err := e.io.ReadRegion(buf[:ps.region.Size], ps.region).Wait(); err != nil {
 		panic(fmt.Errorf("core: read shard %s: %w", ps.p.Name, err))
 	}
-	tensor.HalfFromBytes(half, buf[:ps.region.Size])
+	copy(half, tensor.HalfView(buf[:ps.region.Size]))
 	e.pinned.Release(buf)
 	return half
 }
@@ -418,7 +421,7 @@ func (e *InfinityEngine) writeShard(ps *pstate, half []tensor.Half) {
 		return
 	}
 	buf := e.bytes.Get(int(ps.region.Size))
-	tensor.HalfToBytes(buf, half)
+	copy(tensor.HalfView(buf), half)
 	err := e.io.WriteRegion(buf, ps.region).Wait()
 	e.bytes.Put(buf)
 	if err != nil {

@@ -100,7 +100,7 @@ func (cp *commPrefetcher) issue() {
 				panic(fmt.Errorf("core: prefetched read %s: %w", ps.p.Name, err))
 			}
 			shard = e.f16.Get(ps.shardLen)
-			tensor.HalfFromBytes(shard, f.buf[:ps.region.Size])
+			copy(shard, tensor.HalfView(f.buf[:ps.region.Size]))
 			e.pinned.Release(f.buf[:e.cfg.PinnedBufBytes])
 			ps.inflight = nil
 			if e.prefetch != nil {

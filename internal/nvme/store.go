@@ -3,6 +3,10 @@
 // that reaches near-peak device bandwidth through aggressive parallelization
 // of I/O requests, supports explicit synchronization (flush), and avoids
 // data copies by reading/writing caller-supplied (pinned) buffers in place.
+// The engine's callers keep that promise end to end: the infinity engine's
+// optimizer step updates fp32 state inside the very buffers this package
+// read it into (through tensor.F32View) and hands the same buffers back for
+// the write, so the bytes are never decoded or re-encoded on the way.
 //
 // Two backing stores are provided: FileStore over a real file (used by the
 // examples and CLIs, so offloaded model states genuinely leave RAM-resident

@@ -2,9 +2,10 @@ package tensor
 
 import "math"
 
-// Serialization helpers (little endian) used when offloading fp32 optimizer
-// states and fp16 parameter shards to byte-addressed storage (CPU staging
-// buffers, NVMe regions).
+// Serialization helpers (little endian) for fp32 vectors at byte-stream
+// boundaries: checkpoint files and rank-state records. The offload engine's
+// NVMe staging buffers hold the same layout but are viewed in place
+// (F32View, HalfView) rather than converted.
 
 // F32ToBytes serializes src into b (4 bytes per value, little endian).
 // It panics if b is shorter than 4*len(src).
